@@ -1,12 +1,15 @@
 //! The content-addressed result cache.
 //!
 //! Two tiers: an in-process memo table holding [`Arc`]s of completed runs,
-//! and an optional on-disk tier persisting [`RunStats`] as
+//! and an optional on-disk tier persisting [`RunStats`] — plus, for jobs
+//! with a predictor zoo, the zoo's per-spec counts — as
 //! `<cache-dir>/<runkey-hex>.bin` in a small self-describing binary format.
-//! Keys cover the lowered IR, inputs, and VM configuration (see
-//! [`crate::key`]), so invalidation is automatic: changed work gets a new
-//! key and simply never finds the old entry. Corrupted, truncated, or
-//! version-skewed files are treated as misses, never errors.
+//! Keys cover the lowered IR, inputs, VM configuration, and zoo spec names
+//! (see [`crate::key`]), so invalidation is automatic: changed work gets a
+//! new key and simply never finds the old entry. Corrupted, truncated, or
+//! version-skewed files are treated as misses, never errors; only damaged
+//! ones count as corruption. Full runs and branch traces are never
+//! persisted, so [`Need::FullRun`] and traced jobs always miss the disk.
 //!
 //! All file I/O goes through an [`mffault::Vfs`], so fault-injection
 //! tests can exercise the failure paths deterministically: transient
@@ -20,15 +23,19 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use mfdyn::{DynSpec, ZooCounts, ZooReport};
 use mffault::{RealVfs, RetryPolicy, Vfs};
 use trace_ir::BranchId;
 use trace_vm::{BranchCounts, BreakEvents, PixieCounts, Run, RunStats};
 
-use crate::job::{CacheSource, Need, RunJob};
+use crate::job::{CacheSource, MissReason, Need, RunJob};
 use crate::key::{fnv64, RunKey};
 
 const MAGIC: &[u8; 4] = b"MFHC";
-const FORMAT_VERSION: u8 = 1;
+const FORMAT_VERSION: u8 = 2;
+
+/// A decoded disk entry: the stats and, for a zoo job, its report.
+type Decoded = (RunStats, Option<ZooReport>);
 
 /// An in-memory cache entry: either the stats alone (e.g. loaded from
 /// disk) or the full run.
@@ -47,6 +54,10 @@ pub struct CacheHit {
     pub run: Option<Arc<Run>>,
     /// Memory or disk.
     pub source: CacheSource,
+    /// The zoo report rebuilt from a disk entry of a zoo job. `None` for
+    /// plain jobs and for memory hits, whose report the harness already
+    /// holds.
+    pub zoo: Option<Arc<ZooReport>>,
 }
 
 /// The two-tier run cache. Thread-safe; shared by all workers of a batch.
@@ -85,7 +96,8 @@ pub struct CacheRobustness {
     /// will simply be recomputed by the next process).
     pub store_failures: u64,
     /// Entries that were read but failed validation (torn, corrupt, or
-    /// version-skewed) and salvaged to a miss.
+    /// inconsistent) and salvaged to a miss. Entries of another format
+    /// version are stale, not corrupt, and are not counted here.
     pub corrupt_misses: u64,
 }
 
@@ -130,73 +142,90 @@ impl RunCache {
         self.disk.as_deref()
     }
 
-    /// Looks `job` up; a hit must satisfy the job's [`Need`].
-    pub fn lookup(&self, job: &RunJob) -> Option<CacheHit> {
+    /// Looks `job` up; a hit must satisfy the job's [`Need`]. A miss says
+    /// why the cache could not serve the job.
+    pub fn lookup(&self, job: &RunJob) -> Result<CacheHit, MissReason> {
         {
             let mem = self.mem.lock().expect("cache lock");
             match mem.get(&job.key) {
                 Some(Entry::Full(run)) => {
                     self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(CacheHit {
+                    return Ok(CacheHit {
                         stats: Arc::new(run.stats.clone()),
                         run: Some(Arc::clone(run)),
                         source: CacheSource::Memory,
+                        zoo: None,
                     });
                 }
                 Some(Entry::Stats(stats)) if job.need == Need::Stats => {
                     self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(CacheHit {
+                    return Ok(CacheHit {
                         stats: Arc::clone(stats),
                         run: None,
                         source: CacheSource::Memory,
+                        zoo: None,
                     });
                 }
                 _ => {}
             }
         }
-        // Zoo jobs never consult the disk tier: a cross-process disk hit
-        // would hand back stats without the zoo report the job exists to
-        // produce.
-        if job.need == Need::Stats && job.zoo.is_empty() {
-            if let Some(dir) = &self.disk {
-                if let Some(stats) = self.load(&entry_path(dir, job.key), job.key) {
-                    let stats = Arc::new(stats);
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.mem
-                        .lock()
-                        .expect("cache lock")
-                        .entry(job.key)
-                        .or_insert_with(|| Entry::Stats(Arc::clone(&stats)));
-                    return Some(CacheHit {
-                        stats,
-                        run: None,
-                        source: CacheSource::Disk,
-                    });
-                }
+        let result = match &self.disk {
+            None => Err(MissReason::NoDiskTier),
+            Some(_) if job.config.record_branch_trace => Err(MissReason::Traced),
+            Some(_) if job.need == Need::FullRun => Err(MissReason::FullRunNeeded),
+            Some(dir) => {
+                self.load(&entry_path(dir, job.key), job.key, &job.zoo)
+                    .map(|(stats, zoo)| {
+                        let stats = Arc::new(stats);
+                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        self.mem
+                            .lock()
+                            .expect("cache lock")
+                            .entry(job.key)
+                            .or_insert_with(|| Entry::Stats(Arc::clone(&stats)));
+                        CacheHit {
+                            stats,
+                            run: None,
+                            source: CacheSource::Disk,
+                            zoo: zoo.map(Arc::new),
+                        }
+                    })
             }
+        };
+        if result.is_err() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        result
     }
 
-    /// Records a freshly computed run and, for non-traced zoo-free runs
-    /// with a disk tier, persists its stats. (Traced runs are excluded
-    /// from disk: the trace itself is not persisted, and stats of a traced
-    /// config belong to a different key than the untraced one anyway. Zoo
-    /// jobs are excluded symmetrically with [`RunCache::lookup`].)
-    pub fn insert(&self, job: &RunJob, run: &Arc<Run>) {
+    /// Records a freshly computed run and, with a disk tier, persists its
+    /// stats — and, for a zoo job, the counts of `zoo`, its report. Traced
+    /// runs are not persisted (the trace itself is not, and stats of a
+    /// traced config belong to a different key than the untraced one
+    /// anyway). Neither is a job whose report does not match its spec
+    /// list — notably a zoo job run by a custom executor that ignores
+    /// zoos: a report-less entry could not serve the next process.
+    pub fn insert(&self, job: &RunJob, run: &Arc<Run>, zoo: Option<&ZooReport>) {
         self.mem
             .lock()
             .expect("cache lock")
             .insert(job.key, Entry::Full(Arc::clone(run)));
-        if let Some(dir) = &self.disk {
-            if !job.config.record_branch_trace && job.zoo.is_empty() {
-                // Persistence is best-effort: a read-only target dir must
-                // not fail the run.
-                let dir = dir.clone();
-                let _ = self.store(&dir, job.key, &run.stats);
-            }
+        let Some(dir) = &self.disk else { return };
+        if job.config.record_branch_trace {
+            return;
         }
+        let entries = zoo.map_or(&[][..], |report| &report.entries[..]);
+        if !entries
+            .iter()
+            .map(|&(spec, _)| spec)
+            .eq(job.zoo.iter().copied())
+        {
+            return;
+        }
+        let counts: Vec<ZooCounts> = entries.iter().map(|&(_, counts)| counts).collect();
+        // Persistence is best-effort: a read-only target dir must not fail
+        // the run.
+        let _ = self.store(dir, job.key, &run.stats, &counts);
     }
 
     /// Counter snapshot.
@@ -227,17 +256,29 @@ impl RunCache {
 
     /// Persists one entry via write-then-rename. Failures are counted and
     /// reported but never escalate past the caller's best-effort intent.
-    fn store(&self, dir: &Path, key: RunKey, stats: &RunStats) -> io::Result<()> {
-        let result = self.store_inner(dir, key, stats);
+    fn store(
+        &self,
+        dir: &Path,
+        key: RunKey,
+        stats: &RunStats,
+        zoo: &[ZooCounts],
+    ) -> io::Result<()> {
+        let result = self.store_inner(dir, key, stats, zoo);
         if result.is_err() {
             self.store_failures.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
 
-    fn store_inner(&self, dir: &Path, key: RunKey, stats: &RunStats) -> io::Result<()> {
+    fn store_inner(
+        &self,
+        dir: &Path,
+        key: RunKey,
+        stats: &RunStats,
+        zoo: &[ZooCounts],
+    ) -> io::Result<()> {
         self.io(|| self.vfs.create_dir_all(dir))?;
-        let buf = encode_stats(key, stats);
+        let buf = encode_entry(key, stats, zoo);
 
         // Unique temp names (pid + process-wide serial) so concurrent
         // writers — threads here, or two repro processes sharing one
@@ -261,13 +302,19 @@ impl RunCache {
         result
     }
 
-    /// Loads and validates one entry; any defect (missing file, bad magic
-    /// or version, key mismatch, truncation, checksum failure,
-    /// inconsistent counters) yields `None` — a miss, never a panic.
-    fn load(&self, path: &Path, key: RunKey) -> Option<RunStats> {
-        let bytes = self.io(|| self.vfs.read(path)).ok()?;
-        let decoded = decode_stats(&bytes, key);
-        if decoded.is_none() {
+    /// Loads and validates one entry for a job observed by `zoo`; any
+    /// defect yields a miss, never a panic. An unreadable file is
+    /// [`MissReason::Absent`] and another format version
+    /// [`MissReason::StaleFormat`]; everything else (bad magic, key
+    /// mismatch, truncation, checksum failure, inconsistent counters, a
+    /// zoo section that does not fit `zoo`) is [`MissReason::Corrupt`] and
+    /// counted as such.
+    fn load(&self, path: &Path, key: RunKey, zoo: &[DynSpec]) -> Result<Decoded, MissReason> {
+        let bytes = self
+            .io(|| self.vfs.read(path))
+            .map_err(|_| MissReason::Absent)?;
+        let decoded = decode_entry(&bytes, key, zoo);
+        if matches!(decoded, Err(MissReason::Corrupt)) {
             self.corrupt_misses.fetch_add(1, Ordering::Relaxed);
         }
         decoded
@@ -283,10 +330,13 @@ fn entry_path(dir: &Path, key: RunKey) -> PathBuf {
 //
 //   MFHC <version:u8> <key:16B> <payload> <fnv64-of-everything-before:8B>
 //
-// Payload: total_instrs, branch table, break events, pixie block counts.
+// Payload (version 2): total_instrs, branch table, break events, pixie
+// block counts, then the zoo section: n, then n × (executed,
+// mispredicted) in `RunJob::zoo` order. n is 0 for plain jobs; the spec
+// list itself is not stored, since the key already covers it.
 // ---------------------------------------------------------------------
 
-fn encode_stats(key: RunKey, stats: &RunStats) -> Vec<u8> {
+fn encode_entry(key: RunKey, stats: &RunStats, zoo: &[ZooCounts]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
     buf.extend_from_slice(MAGIC);
     buf.push(FORMAT_VERSION);
@@ -318,12 +368,29 @@ fn encode_stats(key: RunKey, stats: &RunStats) -> Vec<u8> {
             put_u64(&mut buf, count);
         }
     }
+    put_u64(&mut buf, zoo.len() as u64);
+    for c in zoo {
+        put_u64(&mut buf, c.executed);
+        put_u64(&mut buf, c.mispredicted);
+    }
     let checksum = fnv64(&buf);
     put_u64(&mut buf, checksum);
     buf
 }
 
-fn decode_stats(bytes: &[u8], key: RunKey) -> Option<RunStats> {
+/// Decodes an entry for a job observed by `zoo`. Magic and version are
+/// checked before the checksum, so an entry of another format version is
+/// stale rather than corrupt.
+fn decode_entry(bytes: &[u8], key: RunKey, zoo: &[DynSpec]) -> Result<Decoded, MissReason> {
+    match bytes.get(..MAGIC.len() + 1) {
+        Some(head) if head[..MAGIC.len()] == MAGIC[..] && head[MAGIC.len()] != FORMAT_VERSION => {
+            Err(MissReason::StaleFormat)
+        }
+        _ => decode_current(bytes, key, zoo).ok_or(MissReason::Corrupt),
+    }
+}
+
+fn decode_current(bytes: &[u8], key: RunKey, zoo: &[DynSpec]) -> Option<Decoded> {
     if bytes.len() < MAGIC.len() + 1 + 16 + 8 {
         return None;
     }
@@ -365,7 +432,7 @@ fn decode_stats(bytes: &[u8], key: RunKey) -> Option<RunStats> {
         selects: r.u64()?,
     };
     let n_funcs = r.u64()?;
-    let mut blocks = Vec::with_capacity(usize::try_from(n_funcs).ok()?);
+    let mut blocks = Vec::with_capacity(usize::try_from(n_funcs).ok()?.min(1 << 16));
     for _ in 0..n_funcs {
         let n_blocks = usize::try_from(r.u64()?).ok()?;
         let mut func = Vec::with_capacity(n_blocks.min(1 << 16));
@@ -374,15 +441,34 @@ fn decode_stats(bytes: &[u8], key: RunKey) -> Option<RunStats> {
         }
         blocks.push(func);
     }
+    if r.u64()? != zoo.len() as u64 {
+        return None;
+    }
+    let mut entries = Vec::with_capacity(zoo.len());
+    for &spec in zoo {
+        let executed = r.u64()?;
+        let mispredicted = r.u64()?;
+        if mispredicted > executed {
+            return None;
+        }
+        entries.push((
+            spec,
+            ZooCounts {
+                executed,
+                mispredicted,
+            },
+        ));
+    }
     if r.pos != r.bytes.len() {
         return None; // trailing garbage
     }
-    Some(RunStats {
+    let stats = RunStats {
         total_instrs,
         branches,
         events,
         pixie: PixieCounts { blocks },
-    })
+    };
+    Some((stats, (!zoo.is_empty()).then_some(ZooReport { entries })))
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -437,6 +523,18 @@ mod tests {
         }
     }
 
+    /// Made-up counts for every spec of the full zoo.
+    fn sample_zoo() -> (Vec<DynSpec>, Vec<ZooCounts>) {
+        let specs = mfdyn::full_zoo();
+        let counts = (0..specs.len() as u64)
+            .map(|i| ZooCounts {
+                executed: 105,
+                mispredicted: 3 * i,
+            })
+            .collect();
+        (specs, counts)
+    }
+
     fn mem_cache() -> (Arc<MemVfs>, RunCache) {
         let mem = Arc::new(MemVfs::new());
         let cache = RunCache::with_disk_on(
@@ -452,42 +550,113 @@ mod tests {
         let (_, cache) = mem_cache();
         let key = RunKey(42);
         let stats = sample_stats();
-        cache.store(Path::new("/cache"), key, &stats).unwrap();
+        cache.store(Path::new("/cache"), key, &stats, &[]).unwrap();
         let loaded = cache
-            .load(&entry_path(Path::new("/cache"), key), key)
+            .load(&entry_path(Path::new("/cache"), key), key, &[])
+            .unwrap();
+        assert_eq!(loaded, (stats.clone(), None));
+
+        let (specs, counts) = sample_zoo();
+        let zoo_key = RunKey(43);
+        cache
+            .store(Path::new("/cache"), zoo_key, &stats, &counts)
+            .unwrap();
+        let (loaded, report) = cache
+            .load(&entry_path(Path::new("/cache"), zoo_key), zoo_key, &specs)
             .unwrap();
         assert_eq!(loaded, stats);
+        let expected: Vec<(DynSpec, ZooCounts)> = specs.into_iter().zip(counts).collect();
+        assert_eq!(report, Some(ZooReport { entries: expected }));
         assert_eq!(cache.robustness(), CacheRobustness::default());
     }
 
     #[test]
     fn every_truncation_is_a_miss() {
-        let (mem, cache) = mem_cache();
-        let key = RunKey(9);
-        cache
-            .store(Path::new("/cache"), key, &sample_stats())
-            .unwrap();
-        let full = mem.read(&entry_path(Path::new("/cache"), key)).unwrap();
-        for len in 0..full.len() {
-            assert!(decode_stats(&full[..len], key).is_none(), "len {len}");
+        let (specs, counts) = sample_zoo();
+        for (key, zoo, counts) in [
+            (RunKey(9), &[][..], &[][..]),
+            (RunKey(10), &specs[..], &counts[..]),
+        ] {
+            let full = encode_entry(key, &sample_stats(), counts);
+            for len in 0..full.len() {
+                assert!(decode_entry(&full[..len], key, zoo).is_err(), "len {len}");
+            }
+            assert!(decode_entry(&full, key, zoo).is_ok());
         }
-        assert!(decode_stats(&full, key).is_some());
     }
 
     #[test]
     fn flipped_bytes_and_wrong_keys_are_misses() {
-        let (mem, cache) = mem_cache();
-        let key = RunKey(77);
-        cache
-            .store(Path::new("/cache"), key, &sample_stats())
-            .unwrap();
-        let full = mem.read(&entry_path(Path::new("/cache"), key)).unwrap();
-        for i in 0..full.len() {
-            let mut bad = full.clone();
-            bad[i] ^= 0x41;
-            assert!(decode_stats(&bad, key).is_none(), "byte {i}");
+        let (specs, counts) = sample_zoo();
+        for (key, zoo, counts) in [
+            (RunKey(77), &[][..], &[][..]),
+            (RunKey(79), &specs[..], &counts[..]),
+        ] {
+            let full = encode_entry(key, &sample_stats(), counts);
+            for i in 0..full.len() {
+                let mut bad = full.clone();
+                bad[i] ^= 0x41;
+                assert!(decode_entry(&bad, key, zoo).is_err(), "byte {i}");
+            }
+            assert!(decode_entry(&full, RunKey(78), zoo).is_err(), "wrong key");
         }
-        assert!(decode_stats(&full, RunKey(78)).is_none(), "wrong key");
+    }
+
+    #[test]
+    fn zoo_sections_that_do_not_fit_the_job_are_corrupt() {
+        let (specs, counts) = sample_zoo();
+        let key = RunKey(11);
+        let stats = sample_stats();
+        let corrupt = Err(MissReason::Corrupt);
+        // Checksums are valid throughout: only the zoo section is wrong.
+        let short = encode_entry(key, &stats, &counts[1..]);
+        assert_eq!(decode_entry(&short, key, &specs), corrupt, "count too low");
+        let plain = encode_entry(key, &stats, &[]);
+        assert_eq!(decode_entry(&plain, key, &specs), corrupt, "report-less");
+        let zooed = encode_entry(key, &stats, &counts);
+        assert_eq!(decode_entry(&zooed, key, &[]), corrupt, "unexpected zoo");
+        let mut impossible = counts.clone();
+        impossible[2] = ZooCounts {
+            executed: 5,
+            mispredicted: 6,
+        };
+        let impossible = encode_entry(key, &stats, &impossible);
+        assert_eq!(
+            decode_entry(&impossible, key, &specs),
+            corrupt,
+            "mispredicted > executed"
+        );
+    }
+
+    #[test]
+    fn a_checksummed_huge_length_is_a_miss_not_a_panic() {
+        let key = RunKey(13);
+        let mut bytes = encode_entry(key, &sample_stats(), &[]);
+        // Header, total_instrs, the 2-entry branch table, 7 break events:
+        // the pixie function count comes next.
+        let n_funcs_at = MAGIC.len() + 1 + 16 + 8 + 8 + 2 * 24 + 7 * 8;
+        bytes[n_funcs_at..n_funcs_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let body = bytes.len() - 8;
+        let checksum = fnv64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        assert_eq!(decode_entry(&bytes, key, &[]), Err(MissReason::Corrupt));
+    }
+
+    #[test]
+    fn old_format_entries_are_stale_not_corrupt() {
+        let (mem, cache) = mem_cache();
+        let key = RunKey(12);
+        let path = entry_path(Path::new("/cache"), key);
+        // A version-1 entry: the version-2 layout without its zoo section.
+        let v2 = encode_entry(key, &sample_stats(), &[]);
+        let mut v1 = v2[..v2.len() - 16].to_vec();
+        v1[MAGIC.len()] = 1;
+        let checksum = fnv64(&v1);
+        put_u64(&mut v1, checksum);
+        mem.create_dir_all(Path::new("/cache")).unwrap();
+        mem.write(&path, &v1).unwrap();
+        assert_eq!(cache.load(&path, key, &[]), Err(MissReason::StaleFormat));
+        assert_eq!(cache.robustness().corrupt_misses, 0);
     }
 
     #[test]
@@ -496,16 +665,19 @@ mod tests {
         let key = RunKey(5);
         let path = entry_path(Path::new("/cache"), key);
         cache
-            .store(Path::new("/cache"), key, &sample_stats())
+            .store(Path::new("/cache"), key, &sample_stats(), &[])
             .unwrap();
         let mut bytes = mem.read(&path).unwrap();
         let n = bytes.len();
         bytes[n / 2] ^= 0xFF;
         mem.write(&path, &bytes).unwrap();
-        assert!(cache.load(&path, key).is_none());
+        assert_eq!(cache.load(&path, key, &[]), Err(MissReason::Corrupt));
         assert_eq!(cache.robustness().corrupt_misses, 1);
         // A missing file is a plain miss, not corruption.
-        assert!(cache.load(Path::new("/cache/nope.bin"), key).is_none());
+        assert_eq!(
+            cache.load(Path::new("/cache/nope.bin"), key, &[]),
+            Err(MissReason::Absent)
+        );
         assert_eq!(cache.robustness().corrupt_misses, 1);
     }
 
@@ -519,7 +691,7 @@ mod tests {
             RetryPolicy::none(),
         );
         assert!(cache
-            .store(Path::new("/cache"), RunKey(1), &sample_stats())
+            .store(Path::new("/cache"), RunKey(1), &sample_stats(), &[])
             .is_err());
         assert_eq!(cache.robustness().store_failures, 1);
     }
@@ -538,11 +710,11 @@ mod tests {
         );
         for k in 0..10u128 {
             cache
-                .store(Path::new("/cache"), RunKey(k), &sample_stats())
+                .store(Path::new("/cache"), RunKey(k), &sample_stats(), &[])
                 .unwrap_or_else(|e| panic!("store {k} failed: {e}"));
             assert!(cache
-                .load(&entry_path(Path::new("/cache"), RunKey(k)), RunKey(k))
-                .is_some());
+                .load(&entry_path(Path::new("/cache"), RunKey(k)), RunKey(k), &[])
+                .is_ok());
         }
         assert!(
             cache.robustness().io_retries > 0,
@@ -581,7 +753,7 @@ mod tests {
                     for i in 0..25u128 {
                         // Overlapping key ranges force same-key races.
                         let key = RunKey((t % 2) * 1000 + i);
-                        cache.store(Path::new("/cache"), key, stats).unwrap();
+                        cache.store(Path::new("/cache"), key, stats, &[]).unwrap();
                     }
                 });
             }
@@ -597,8 +769,8 @@ mod tests {
             for base in [0u128, 1000] {
                 let key = RunKey(base + i);
                 assert_eq!(
-                    a.load(&entry_path(Path::new("/cache"), key), key),
-                    Some(stats.clone()),
+                    a.load(&entry_path(Path::new("/cache"), key), key, &[]),
+                    Ok((stats.clone(), None)),
                     "entry {key:?} torn or lost"
                 );
             }

@@ -37,8 +37,9 @@ pub struct RunJob {
     /// Online dynamic predictors to drive over the run's branch stream —
     /// empty for ordinary jobs. A non-empty zoo folds into [`RunJob::key`]
     /// (by canonical spec name, in order), so runs observed by different
-    /// predictor configurations never share a cache entry, and the job is
-    /// excluded from the disk tier (the zoo report is not persisted).
+    /// predictor configurations never share a cache entry. The disk tier
+    /// persists the report's counts next to the stats; the spec list is
+    /// recovered from the job itself.
     pub zoo: Vec<DynSpec>,
     /// The content-addressed identity of this work.
     pub key: RunKey,
@@ -122,6 +123,49 @@ impl CacheSource {
             CacheSource::Computed => "computed",
             CacheSource::Memory => "memory",
             CacheSource::Disk => "disk",
+        }
+    }
+}
+
+/// Why a computed job was not served by the cache.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MissReason {
+    /// The disk tier holds no readable entry for the key.
+    Absent,
+    /// An entry exists but was written in an older (or newer) cache
+    /// format — stale, not damaged.
+    StaleFormat,
+    /// An entry exists but failed validation (torn, bit-flipped, forged,
+    /// or inconsistent) and was salvaged to a miss.
+    Corrupt,
+    /// The job needs the full [`Run`], which the disk tier never holds.
+    FullRunNeeded,
+    /// The job records a branch trace, which is never persisted.
+    Traced,
+    /// The harness runs without a persistent tier.
+    NoDiskTier,
+}
+
+impl MissReason {
+    /// Every reason, in report order.
+    pub const ALL: [MissReason; 6] = [
+        MissReason::Absent,
+        MissReason::StaleFormat,
+        MissReason::Corrupt,
+        MissReason::FullRunNeeded,
+        MissReason::Traced,
+        MissReason::NoDiskTier,
+    ];
+
+    /// Short snake-case name (report/JSON vocabulary).
+    pub fn name(&self) -> &'static str {
+        match self {
+            MissReason::Absent => "absent",
+            MissReason::StaleFormat => "stale_format",
+            MissReason::Corrupt => "corrupt",
+            MissReason::FullRunNeeded => "full_run_needed",
+            MissReason::Traced => "traced",
+            MissReason::NoDiskTier => "no_disk_tier",
         }
     }
 }

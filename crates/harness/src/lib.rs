@@ -4,10 +4,10 @@
 //! vm-config)` — is a [`RunJob`] with a stable content-addressed
 //! [`RunKey`]. A [`Harness`] deduplicates submitted jobs, serves repeats
 //! from a two-tier cache (in-process memo table plus an optional on-disk
-//! store of [`trace_vm::RunStats`]), and executes the remainder on a
-//! dependency-free work-stealing thread pool. Results always come back in
-//! submission order, so downstream tables and figures are bit-identical
-//! whether the matrix ran on one worker or eight.
+//! store of [`trace_vm::RunStats`] and predictor-zoo counts), and executes
+//! the remainder on a dependency-free work-stealing thread pool. Results
+//! always come back in submission order, so downstream tables and figures
+//! are bit-identical whether the matrix ran on one worker or eight.
 //!
 //! Knobs (also surfaced as `repro` flags):
 //!
@@ -21,7 +21,8 @@
 //!   stamps its digest on the run record (cache hits included).
 //!
 //! Observability — per-run timing, guest-instructions-per-second, cache
-//! hit/miss counters, worker utilization — accumulates in a
+//! hit/miss counters and the reason each computed job missed, worker
+//! utilization — accumulates in a
 //! [`HarnessReport`] available from [`Harness::report`].
 
 mod cache;
@@ -41,7 +42,7 @@ use mffault::{FaultPlan, FaultVfs, RealVfs, RetryPolicy, Vfs};
 use trace_vm::{Run, RuntimeError};
 
 pub use cache::{CacheCounters, CacheHit, CacheRobustness, RunCache};
-pub use job::{CacheSource, Need, RunJob, RunOutcome};
+pub use job::{CacheSource, MissReason, Need, RunJob, RunOutcome};
 pub use key::{fnv64, Fingerprint, RunKey};
 pub use pool::{default_workers, run_indexed, run_indexed_supervised, PoolStats};
 pub use report::{HarnessReport, RobustnessReport, RunRecord};
@@ -175,9 +176,10 @@ pub struct Harness {
     panics: AtomicU64,
     quarantine: Mutex<HashMap<RunKey, (String, String)>>,
     /// Predictor-zoo reports keyed by job key — the in-process companion
-    /// to the memo table for jobs with a non-empty [`RunJob::zoo`]. Never
-    /// persisted (zoo jobs bypass the disk tier), so a memo hit can always
-    /// find its report here.
+    /// to the memo table for jobs with a non-empty [`RunJob::zoo`]. Filled
+    /// by the default executor on compute and by disk hits (which rebuild
+    /// the report from the entry), so a memo hit can always find its
+    /// report here; [`RunCache::insert`] persists a zoo job only with it.
     zoo_memo: Mutex<HashMap<RunKey, Arc<mfdyn::ZooReport>>>,
 }
 
@@ -323,21 +325,32 @@ impl Harness {
         // Cache pass (serial, submission order — keeps counter totals and
         // record order deterministic), then pooled execution of misses.
         let mut resolved: Vec<Option<RunOutcome>> = Vec::with_capacity(unique.len());
+        let mut misses: Vec<Option<MissReason>> = Vec::with_capacity(unique.len());
         let mut to_run: Vec<usize> = Vec::new();
         for (i, job) in unique.iter().enumerate() {
             match self.cache.lookup(job) {
-                Some(hit) => resolved.push(Some(RunOutcome {
-                    label: job.label(),
-                    key: job.key,
-                    stats: hit.stats,
-                    run: hit.run,
-                    source: hit.source,
-                    wall: std::time::Duration::ZERO,
-                    zoo: None,
-                })),
-                None => {
+                Ok(hit) => {
+                    if let Some(report) = hit.zoo {
+                        self.zoo_memo
+                            .lock()
+                            .expect("zoo memo lock")
+                            .insert(job.key, report);
+                    }
+                    resolved.push(Some(RunOutcome {
+                        label: job.label(),
+                        key: job.key,
+                        stats: hit.stats,
+                        run: hit.run,
+                        source: hit.source,
+                        wall: std::time::Duration::ZERO,
+                        zoo: None,
+                    }));
+                    misses.push(None);
+                }
+                Err(reason) => {
                     to_run.push(i);
                     resolved.push(None);
+                    misses.push(Some(reason));
                 }
             }
         }
@@ -387,7 +400,13 @@ impl Harness {
                         }
                     }
                     Ok((Ok(run), wall)) => {
-                        self.cache.insert(job, &run);
+                        let report = self
+                            .zoo_memo
+                            .lock()
+                            .expect("zoo memo lock")
+                            .get(&job.key)
+                            .cloned();
+                        self.cache.insert(job, &run, report.as_deref());
                         resolved[i] = Some(RunOutcome {
                             label: job.label(),
                             key: job.key,
@@ -411,8 +430,8 @@ impl Harness {
             .collect();
 
         // Zoo jobs collect their predictor reports from the zoo memo —
-        // filled by the default executor on compute, and still present for
-        // memo hits (zoo jobs never come from disk). A custom executor
+        // filled by the default executor on compute and by the cache pass
+        // on disk hits, and still present for memo hits. A custom executor
         // that ignores zoos simply leaves the field `None`.
         {
             let zoo_memo = self.zoo_memo.lock().expect("zoo memo lock");
@@ -446,14 +465,15 @@ impl Harness {
         {
             let mut records = self.records.lock().expect("records lock");
             // `outcomes` is index-aligned with `unique`, so zipping pairs
-            // each outcome with its job's digest.
-            for (outcome, digest) in outcomes.iter().zip(&digests) {
+            // each outcome with its job's digest and miss reason.
+            for ((outcome, digest), miss) in outcomes.iter().zip(&digests).zip(&misses) {
                 records.push(RunRecord {
                     label: outcome.label.clone(),
                     key: outcome.key,
                     guest_instrs: outcome.stats.total_instrs,
                     wall: outcome.wall,
                     source: outcome.source,
+                    miss: *miss,
                     verify_digest: *digest,
                 });
             }
@@ -666,28 +686,96 @@ mod tests {
         assert_eq!(again.zoo.as_deref(), Some(report.as_ref()));
     }
 
-    #[test]
-    fn zoo_jobs_bypass_the_disk_tier() {
-        let dir = std::env::temp_dir().join(format!("mfharness-zoo-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = || HarnessOptions {
+    fn disk_options(dir: &Path) -> HarnessOptions {
+        HarnessOptions {
             jobs: Some(2),
-            disk_cache: DiskCache::Dir(dir.clone()),
+            disk_cache: DiskCache::Dir(dir.to_path_buf()),
             ..HarnessOptions::default()
-        };
-        let first = Harness::new(options());
-        first
-            .run_one(job(LOOPY, vec![Input::Int(35)]).with_zoo(mfdyn::standard_zoo()))
-            .unwrap();
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mfharness-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn zoo_reports_survive_a_restart() {
+        let dir = temp_dir("zoo");
+        let zooed = || job(LOOPY, vec![Input::Int(35)]).with_zoo(mfdyn::standard_zoo());
+        let first = Harness::new(disk_options(&dir)).run_one(zooed()).unwrap();
+        assert_eq!(first.source, CacheSource::Computed);
         // A second harness over the same directory (a fresh process, in
-        // effect) must recompute the zoo job rather than taking a stats
-        // hit that would lose the report.
-        let second = Harness::new(options());
-        let outcome = second
-            .run_one(job(LOOPY, vec![Input::Int(35)]).with_zoo(mfdyn::standard_zoo()))
+        // effect) takes a disk hit that rebuilds the identical report.
+        let second = Harness::new(disk_options(&dir));
+        let outcome = second.run_one(zooed()).unwrap();
+        assert_eq!(outcome.source, CacheSource::Disk);
+        assert_eq!(outcome.stats, first.stats);
+        let report = first.zoo.as_deref().expect("computed zoo job has a report");
+        assert_eq!(outcome.zoo.as_deref(), Some(report));
+        // The rebuilt report stays in the zoo memo for later memo hits.
+        let again = second.run_one(zooed()).unwrap();
+        assert_eq!(again.source, CacheSource::Memory);
+        assert_eq!(again.zoo.as_deref(), Some(report));
+        assert_eq!(second.report().computed(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zoo_jobs_without_a_report_are_not_persisted() {
+        let dir = temp_dir("zoo-ignored");
+        let zooed = || job(LOOPY, vec![Input::Int(36)]).with_zoo(mfdyn::standard_zoo());
+        let first = Harness::new(disk_options(&dir));
+        let outcome = first
+            .run_with(vec![zooed()], |j| {
+                trace_vm::run_program(&j.program, j.config, &j.inputs)
+            })
+            .unwrap()
+            .pop()
             .unwrap();
+        assert!(outcome.zoo.is_none(), "the executor ignored the zoo");
+        let entries = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(entries, 0, "no report, no disk entry");
+        // A fresh harness therefore recomputes the job, report and all.
+        let second = Harness::new(disk_options(&dir));
+        let outcome = second.run_one(zooed()).unwrap();
         assert_eq!(outcome.source, CacheSource::Computed);
         assert!(outcome.zoo.is_some());
+        assert_eq!(second.report().records[0].miss, Some(MissReason::Absent));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_say_why_a_job_missed() {
+        let dir = temp_dir("miss");
+        let plain = || job(LOOPY, vec![Input::Int(37)]);
+        let mut traced = job(LOOPY, vec![Input::Int(38)]);
+        traced.config.record_branch_trace = true;
+        traced.key = RunKey::of(&traced.program, &traced.inputs, &traced.config);
+        let disk = Harness::new(disk_options(&dir));
+        disk.run(vec![plain(), traced.clone()]).unwrap();
+        let fresh = Harness::new(disk_options(&dir));
+        fresh
+            .run(vec![plain(), plain().needing_run(), traced])
+            .unwrap();
+        let misses = |h: &Harness| -> Vec<Option<MissReason>> {
+            h.report().records.iter().map(|r| r.miss).collect()
+        };
+        assert_eq!(
+            misses(&disk),
+            [Some(MissReason::Absent), Some(MissReason::Traced)]
+        );
+        // The plain and full-run jobs share a key, so they collapse into
+        // one full-run job that the disk tier cannot serve.
+        assert_eq!(
+            misses(&fresh),
+            [Some(MissReason::FullRunNeeded), Some(MissReason::Traced)]
+        );
+        let memory = Harness::in_memory();
+        memory.run(vec![plain(), plain()]).unwrap();
+        memory.run_one(plain()).unwrap();
+        assert_eq!(misses(&memory), [Some(MissReason::NoDiskTier), None]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

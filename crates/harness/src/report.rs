@@ -10,7 +10,7 @@ use std::time::Duration;
 use mfreport::Table;
 
 use crate::cache::CacheCounters;
-use crate::job::CacheSource;
+use crate::job::{CacheSource, MissReason};
 use crate::key::RunKey;
 
 /// One completed job, as observed by the harness.
@@ -26,6 +26,8 @@ pub struct RunRecord {
     pub wall: Duration,
     /// Computed, memory hit, or disk hit.
     pub source: CacheSource,
+    /// Why the cache could not serve a computed job; `None` for hits.
+    pub miss: Option<MissReason>,
     /// Semantic-verification digest of the program this job ran
     /// (`mfcheck::verify_digest`), recorded when the harness runs with
     /// verification enabled — for cache hits too, so a cached result is
@@ -87,6 +89,14 @@ impl HarnessReport {
         self.records
             .iter()
             .filter(|r| r.source == CacheSource::Computed)
+            .count() as u64
+    }
+
+    /// Computed jobs that missed the cache for `reason`.
+    pub fn misses_for(&self, reason: MissReason) -> u64 {
+        self.records
+            .iter()
+            .filter(|r| r.miss == Some(reason))
             .count() as u64
     }
 
@@ -156,6 +166,12 @@ impl HarnessReport {
             "cache hit rate".into(),
             format!("{:.1}%", self.hit_rate() * 100.0),
         ]);
+        for reason in MissReason::ALL {
+            table.row_owned(vec![
+                format!("cache misses ({})", reason.name()),
+                self.misses_for(reason).to_string(),
+            ]);
+        }
         table.row_owned(vec!["worker threads".into(), self.workers.to_string()]);
         table.row_owned(vec![
             "pool wall time".into(),
@@ -265,13 +281,18 @@ impl HarnessReport {
                 Some(d) => format!("\"{d:#018x}\""),
                 None => "null".to_string(),
             };
+            let miss = match record.miss {
+                Some(reason) => format!("\"{}\"", reason.name()),
+                None => "null".to_string(),
+            };
             out.push_str(&format!(
-                "    {{\"label\": {}, \"key\": \"{}\", \"guest_instructions\": {}, \"wall_seconds\": {}, \"source\": \"{}\", \"verify_digest\": {}}}{}\n",
+                "    {{\"label\": {}, \"key\": \"{}\", \"guest_instructions\": {}, \"wall_seconds\": {}, \"source\": \"{}\", \"miss\": {}, \"verify_digest\": {}}}{}\n",
                 json_str(&record.label),
                 record.key,
                 record.guest_instrs,
                 json_f64(record.wall.as_secs_f64()),
                 record.source.name(),
+                miss,
                 verify,
                 if i + 1 < self.records.len() { "," } else { "" }
             ));
@@ -324,6 +345,7 @@ mod tests {
                     guest_instrs: 1000,
                     wall: Duration::from_millis(5),
                     source: CacheSource::Computed,
+                    miss: Some(MissReason::Absent),
                     verify_digest: None,
                 },
                 RunRecord {
@@ -332,6 +354,7 @@ mod tests {
                     guest_instrs: 1000,
                     wall: Duration::ZERO,
                     source: CacheSource::Memory,
+                    miss: None,
                     verify_digest: Some(mfcheck::CLEAN_DIGEST),
                 },
             ],
@@ -364,6 +387,29 @@ mod tests {
         let rendered = sample().summary_table().render();
         assert!(rendered.contains("cache hit rate"));
         assert!(rendered.contains("50.0%"));
+    }
+
+    #[test]
+    fn miss_reasons_are_counted_and_exported() {
+        let report = sample();
+        assert_eq!(report.misses_for(MissReason::Absent), 1);
+        assert_eq!(report.misses_for(MissReason::Corrupt), 0);
+        let rendered = report.summary_table().render();
+        for reason in MissReason::ALL {
+            assert!(
+                rendered.contains(&format!("cache misses ({})", reason.name())),
+                "{rendered}"
+            );
+        }
+        let json = report.to_json();
+        assert!(
+            json.contains("\"source\": \"computed\", \"miss\": \"absent\""),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"source\": \"memory\", \"miss\": null"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mfharness::{CacheSource, DiskCache, Harness, HarnessOptions, RunJob};
+use mfharness::{CacheSource, DiskCache, Harness, HarnessOptions, MissReason, RunJob};
 use trace_ir::Program;
 use trace_vm::{Input, VmConfig};
 
@@ -115,6 +115,45 @@ fn corrupted_and_truncated_entries_degrade_to_recomputation() {
     std::fs::write(entry, b"not a cache entry at all").unwrap();
     let after_garbage = disk_harness(&dir).run_one(job(&program, 800)).unwrap();
     assert_eq!(after_garbage.source, CacheSource::Computed);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupted_zoo_entry_salvages_to_an_identical_report() {
+    let dir = temp_dir("zoo-corrupt");
+    let program = Arc::new(mflang::compile(LOOPY).unwrap());
+    let zooed = || job(&program, 850).with_zoo(mfdyn::full_zoo());
+    let reference = disk_harness(&dir).run_one(zooed()).unwrap();
+    let report = reference
+        .zoo
+        .clone()
+        .expect("computed zoo job has a report");
+
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .next()
+        .expect("one cache file");
+    // Flip a byte inside the zoo section, just before the checksum.
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let n = bytes.len();
+    bytes[n - 12] ^= 0xff;
+    std::fs::write(&entry, &bytes).unwrap();
+
+    let salvaged = disk_harness(&dir);
+    let after = salvaged.run_one(zooed()).unwrap();
+    assert_eq!(after.source, CacheSource::Computed);
+    assert_eq!(*after.stats, *reference.stats);
+    assert_eq!(after.zoo.as_deref(), Some(report.as_ref()));
+    let salvage_report = salvaged.report();
+    assert_eq!(salvage_report.robustness.cache_corrupt_misses, 1);
+    assert_eq!(salvage_report.records[0].miss, Some(MissReason::Corrupt));
+
+    // The recompute rewrote the entry: the next process hits it again.
+    let healed = disk_harness(&dir).run_one(zooed()).unwrap();
+    assert_eq!(healed.source, CacheSource::Disk);
+    assert_eq!(healed.zoo.as_deref(), Some(report.as_ref()));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
