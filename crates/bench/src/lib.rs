@@ -314,18 +314,25 @@ pub fn collect() -> SuiteRuns {
     collect_with(harness())
 }
 
-/// Structural site fingerprints for one suite workload, recomputed from
-/// its bundled source (compilation is cheap next to the runs the counts
-/// came from). Empty for a name not in the suite.
-fn workload_fingerprints(name: &str) -> std::collections::BTreeMap<trace_ir::BranchId, u64> {
-    suite()
-        .into_iter()
-        .find(|w| w.name == name)
+/// Structural site fingerprints for every workload of `s`, in order,
+/// recomputed from the bundled sources (compilation is cheap next to the
+/// runs the counts came from). The suite is built once per call; a name
+/// not in the suite gets an empty map.
+fn suite_fingerprints(s: &SuiteRuns) -> Vec<std::collections::BTreeMap<trace_ir::BranchId, u64>> {
+    let bundled = suite();
+    s.workloads
+        .iter()
         .map(|w| {
-            let program = w.compile().expect("bundled workload compiles");
-            mfstale::site_fingerprints(&program)
+            bundled
+                .iter()
+                .find(|b| b.name == w.name)
+                .map(|b| {
+                    let program = b.compile().expect("bundled workload compiles");
+                    mfstale::site_fingerprints(&program)
+                })
+                .unwrap_or_default()
         })
-        .unwrap_or_default()
+        .collect()
 }
 
 /// Appends every collected run's branch counters to the profile database,
@@ -340,8 +347,7 @@ pub fn record_suite(
     s: &SuiteRuns,
 ) -> Result<(usize, usize), mfprofdb::DbError> {
     let (mut committed, mut degraded) = (0usize, 0usize);
-    for w in &s.workloads {
-        let fps = workload_fingerprints(&w.name);
+    for (w, fps) in s.workloads.iter().zip(suite_fingerprints(s)) {
         for r in &w.runs {
             let label = format!("{}/{}", w.name, r.dataset);
             match store.append_with_fps(&label, &r.stats.branches, &fps)? {
@@ -363,8 +369,7 @@ pub fn record_suite_svc(
     svc: &mfprofsvc::ProfileService,
     s: &SuiteRuns,
 ) -> Result<(usize, usize), mfprofsvc::DbError> {
-    for w in &s.workloads {
-        let fps = workload_fingerprints(&w.name);
+    for (w, fps) in s.workloads.iter().zip(suite_fingerprints(s)) {
         for r in &w.runs {
             let label = format!("{}/{}", w.name, r.dataset);
             svc.enqueue_with_fps(&label, &r.stats.branches, &fps)?;

@@ -11,14 +11,20 @@
 //! perceptron predictor.
 //!
 //! Everything is deterministic and allocation-bounded: each predictor
-//! allocates its tables once at construction (sized by `table_bits`) and
-//! never allocates on the hot path, so a [`Zoo`] can be attached to any
-//! run — including fuzz runs — without perturbing behavior or memory use.
+//! allocates its tables once at construction (sized by `table_bits`), and
+//! the [`Zoo`] allocates one fixed buffer of 4096 packed events (16 KiB)
+//! beside them. The hot path appends to that buffer; when it fills, each
+//! predictor runs over the whole batch in its own loop and the buffer is
+//! reused. Nothing allocates after construction except
+//! [`Zoo::report`], which runs a partly filled batch on a copy of the
+//! tables. So a zoo can be attached to any run — including fuzz runs —
+//! without perturbing behavior or memory use.
 //!
 //! Two independent implementations of the same predictor semantics exist:
 //!
 //! * the **online** path ([`Zoo`], a [`BranchSink`]) updates every
-//!   predictor as branches execute, without materializing a trace;
+//!   predictor as branches execute, a batch at a time, without
+//!   materializing a trace;
 //! * the **golden** path ([`golden::replay`]) re-simulates a predictor
 //!   over a recorded [`BranchEvent`] trace after the fact.
 //!
@@ -42,8 +48,9 @@ pub const MAX_TABLE_BITS: u32 = 24;
 pub const MAX_HISTORY: u32 = 63;
 
 /// Perceptron weights saturate at ±[`WEIGHT_LIMIT`], the classic 8-bit
-/// hardware budget. Clamping keeps every weight (and therefore every dot
-/// product, at most `(MAX_HISTORY + 1) × WEIGHT_LIMIT`) far inside `i32`.
+/// hardware budget. Clamping lets every weight live in an `i16` and keeps
+/// every dot product (at most `(MAX_HISTORY + 1) × WEIGHT_LIMIT`) far
+/// inside the `i32` it is accumulated in.
 pub const WEIGHT_LIMIT: i32 = 127;
 
 /// One predictor configuration — the unit the characterization harness
@@ -360,23 +367,156 @@ pub fn perceptron_theta(history: u32) -> i32 {
     ((193 * history + 1400) / 100) as i32
 }
 
-#[inline]
-fn clamp_weight(w: i32) -> i32 {
-    w.clamp(-WEIGHT_LIMIT, WEIGHT_LIMIT)
-}
-
 /// Initial 2-bit counter state: weakly not-taken.
 const TWO_BIT_INIT: u8 = 1;
 
+/// Branch events a [`Zoo`] buffers before its predictors run over them.
+/// Each predictor walks a whole batch in its own loop, so its state stays
+/// hot and its kind is dispatched once per batch instead of once per
+/// branch.
+const BATCH: usize = 4096;
+
+/// Largest branch id a [`Zoo`] accepts: an event is packed as
+/// `id << 1 | taken` in a `u32`. Every id a program can produce is an
+/// index into its `branch_info`, far below this.
+const MAX_BRANCH_ID: u32 = u32::MAX >> 1;
+
+/// Perceptron weights per row: one row of `i16` lanes covers 16 history
+/// bits, so a row's dot product and update are each a few SIMD ops.
+const LANES: usize = 16;
+
+/// Rows per perceptron for the longest history, ⌈MAX_HISTORY / 16⌉.
+const MAX_CHUNKS: usize = (MAX_HISTORY as usize).div_ceil(LANES);
+
+/// The perceptron's ±1 inputs for one byte of history: lane `j` of entry
+/// `b` is `+1` when bit `j` of `b` is set, else `-1`.
+static INPUTS: [[i16; 8]; 256] = {
+    let mut lut = [[0i16; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            lut[b][j] = if (b >> j) & 1 == 1 { 1 } else { -1 };
+            j += 1;
+        }
+        b += 1;
+    }
+    lut
+};
+
+/// A table of perceptrons over the global history, laid out for the
+/// lane kernel: entry `slot` owns rows `slot * chunks..(slot + 1) *
+/// chunks` of `weights`, where lane `l` of row `c` weighs history bit
+/// `16c + l`. Lanes at or past the history length always hold 0 (their
+/// input is masked to 0), so they add nothing to a dot product.
+#[derive(Clone)]
+struct Perceptron {
+    weights: Vec<[i16; LANES]>,
+    bias: Vec<i16>,
+    /// `-1` (all bits set) on the lanes that carry history, 0 past it.
+    live: [[i16; LANES]; MAX_CHUNKS],
+    chunks: usize,
+    theta: i32,
+    history: u64,
+    hist_mask: u64,
+}
+
+impl Perceptron {
+    fn new(history: u32, table_bits: u32) -> Self {
+        let h = history as usize;
+        let chunks = h.div_ceil(LANES);
+        let mut live = [[0i16; LANES]; MAX_CHUNKS];
+        for lane in live.iter_mut().flatten().take(h) {
+            *lane = -1;
+        }
+        Perceptron {
+            weights: vec![[0; LANES]; (1 << table_bits) * chunks],
+            bias: vec![0; 1 << table_bits],
+            live,
+            chunks,
+            theta: perceptron_theta(history),
+            history: 0,
+            hist_mask: (1u64 << history) - 1,
+        }
+    }
+
+    /// Runs a batch of packed events; returns the mispredict count. The
+    /// row count is fixed per table, so it is made a constant of the loop.
+    fn run(&mut self, batch: &[u32]) -> u64 {
+        match self.chunks {
+            1 => self.run_rows::<1>(batch),
+            2 => self.run_rows::<2>(batch),
+            3 => self.run_rows::<3>(batch),
+            _ => self.run_rows::<MAX_CHUNKS>(batch),
+        }
+    }
+
+    fn run_rows<const C: usize>(&mut self, batch: &[u32]) -> u64 {
+        debug_assert_eq!(self.chunks, C);
+        let limit = WEIGHT_LIMIT as i16;
+        let slot_mask = self.bias.len() - 1;
+        let live: [[i16; LANES]; C] = std::array::from_fn(|c| self.live[c]);
+        let mut history = self.history;
+        let mut wrong = 0u64;
+        for &ev in batch {
+            let taken = ev & 1 == 1;
+            let slot = (ev >> 1) as usize & slot_mask;
+            let x: [[i16; LANES]; C] = std::array::from_fn(|c| {
+                let bits = history >> (LANES * c);
+                let lo = &INPUTS[bits as u8 as usize];
+                let hi = &INPUTS[(bits >> 8) as u8 as usize];
+                std::array::from_fn(|l| {
+                    let x = if l < 8 { lo[l] } else { hi[l - 8] };
+                    x & live[c][l]
+                })
+            });
+            let rows: &mut [[i16; LANES]; C] = (&mut self.weights[slot * C..][..C])
+                .try_into()
+                .expect("C rows per slot");
+            let mut acc = [0i32; LANES];
+            for (w, xc) in rows.iter().zip(&x) {
+                for l in 0..LANES {
+                    acc[l] += i32::from(w[l]) * i32::from(xc[l]);
+                }
+            }
+            let y = i32::from(self.bias[slot]) + acc.iter().sum::<i32>();
+            let predicted = y >= 0;
+            if predicted != taken || y.abs() <= self.theta {
+                let t: i16 = if taken { 1 } else { -1 };
+                self.bias[slot] = (self.bias[slot] + t).clamp(-limit, limit);
+                for (w, xc) in rows.iter_mut().zip(&x) {
+                    for l in 0..LANES {
+                        w[l] = (w[l] + t * xc[l]).clamp(-limit, limit);
+                    }
+                }
+            }
+            history = ((history << 1) | u64::from(taken)) & self.hist_mask;
+            wrong += u64::from(predicted != taken);
+        }
+        self.history = history;
+        wrong
+    }
+}
+
+#[derive(Clone)]
 enum State {
     AlwaysTaken,
     Btfn,
-    OneBit { table: Vec<u8> },
-    TwoBit { table: Vec<u8> },
-    Gshare { table: Vec<u8>, history: u64 },
-    Perceptron { weights: Vec<i32>, history: u64 },
+    OneBit {
+        table: Vec<u8>,
+    },
+    TwoBit {
+        table: Vec<u8>,
+    },
+    Gshare {
+        table: Vec<u8>,
+        history: u64,
+        hist_mask: u64,
+    },
+    Perceptron(Perceptron),
 }
 
+#[derive(Clone)]
 struct Pred {
     spec: DynSpec,
     state: State,
@@ -394,17 +534,18 @@ impl Pred {
             DynSpec::TwoBit { table_bits } => State::TwoBit {
                 table: vec![TWO_BIT_INIT; 1 << table_bits],
             },
-            DynSpec::Gshare { table_bits, .. } => State::Gshare {
+            DynSpec::Gshare {
+                history,
+                table_bits,
+            } => State::Gshare {
                 table: vec![TWO_BIT_INIT; 1 << table_bits],
                 history: 0,
+                hist_mask: (1u64 << history) - 1,
             },
             DynSpec::Perceptron {
                 history,
                 table_bits,
-            } => State::Perceptron {
-                weights: vec![0; (1 << table_bits) * (history as usize + 1)],
-                history: 0,
-            },
+            } => State::Perceptron(Perceptron::new(history, table_bits)),
         };
         Pred {
             spec,
@@ -413,123 +554,166 @@ impl Pred {
         }
     }
 
-    /// Predicts, tallies, and trains on one executed branch. This is the
-    /// hot path: no allocation, no hashing, just table arithmetic.
-    fn observe(&mut self, dirs: &BranchDirs, id: BranchId, taken: bool) {
-        let predicted = match &mut self.state {
-            State::AlwaysTaken => true,
-            State::Btfn => dirs.is_backward(id),
+    /// Predicts, tallies, and trains on a batch of packed events
+    /// (`id << 1 | taken`), in order. This is the hot path: one dispatch
+    /// on the predictor kind, then a tight loop of table arithmetic.
+    fn run(&mut self, dirs: &BranchDirs, batch: &[u32]) {
+        let mut wrong = 0u64;
+        match &mut self.state {
+            State::AlwaysTaken => {
+                for &ev in batch {
+                    wrong += u64::from(ev & 1 == 0);
+                }
+            }
+            State::Btfn => {
+                for &ev in batch {
+                    wrong += u64::from(dirs.is_backward(BranchId(ev >> 1)) != (ev & 1 == 1));
+                }
+            }
             State::OneBit { table } => {
-                let idx = id.0 as usize & (table.len() - 1);
-                let p = table[idx] != 0;
-                table[idx] = u8::from(taken);
-                p
+                let table = table.as_mut_slice();
+                let mask = table.len() - 1;
+                for &ev in batch {
+                    let taken = (ev & 1) as u8;
+                    let slot = &mut table[(ev >> 1) as usize & mask];
+                    wrong += u64::from(*slot != taken);
+                    *slot = taken;
+                }
             }
             State::TwoBit { table } => {
-                let idx = id.0 as usize & (table.len() - 1);
-                let p = table[idx] >= 2;
-                table[idx] = two_bit_step(table[idx], taken);
-                p
+                let table = table.as_mut_slice();
+                let mask = table.len() - 1;
+                for &ev in batch {
+                    let taken = ev & 1 == 1;
+                    let slot = &mut table[(ev >> 1) as usize & mask];
+                    wrong += u64::from((*slot >= 2) != taken);
+                    *slot = two_bit_step(*slot, taken);
+                }
             }
-            State::Gshare { table, history } => {
-                let (hist_len, table_bits) = match self.spec {
-                    DynSpec::Gshare {
-                        history,
-                        table_bits,
-                    } => (history, table_bits),
-                    _ => unreachable!("state/spec agree by construction"),
-                };
-                let idx = gshare_index(id, *history, table_bits);
-                let p = table[idx] >= 2;
-                table[idx] = two_bit_step(table[idx], taken);
+            State::Gshare {
+                table,
+                history,
+                hist_mask,
+            } => {
+                let table = table.as_mut_slice();
+                let table_bits = table.len().trailing_zeros();
+                let hist_mask = *hist_mask;
                 // The seeded defect skips the history update on not-taken
                 // branches, so the online predictor's indices drift away
                 // from the golden replay's — the dynpred-consistency
                 // oracle's conviction signal.
                 #[cfg(feature = "seeded-defects")]
-                let skip_update = mfdefect::active("dynpred-history-not-updated") && !taken;
+                let defect = mfdefect::active("dynpred-history-not-updated");
                 #[cfg(not(feature = "seeded-defects"))]
-                let skip_update = false;
-                if !skip_update {
-                    *history = ((*history << 1) | u64::from(taken)) & ((1u64 << hist_len) - 1);
-                }
-                p
-            }
-            State::Perceptron { weights, history } => {
-                let (hist_len, table_bits) = match self.spec {
-                    DynSpec::Perceptron {
-                        history,
-                        table_bits,
-                    } => (history, table_bits),
-                    _ => unreachable!("state/spec agree by construction"),
-                };
-                let h = hist_len as usize;
-                let idx = id.0 as usize & ((1 << table_bits) - 1);
-                let w = &mut weights[idx * (h + 1)..][..h + 1];
-                let mut y = w[0];
-                for (i, wi) in w[1..].iter().enumerate() {
-                    y += if (*history >> i) & 1 == 1 { *wi } else { -*wi };
-                }
-                let p = y >= 0;
-                if p != taken || y.abs() <= perceptron_theta(hist_len) {
-                    let t = if taken { 1 } else { -1 };
-                    w[0] = clamp_weight(w[0] + t);
-                    for (i, wi) in w[1..].iter_mut().enumerate() {
-                        let x = if (*history >> i) & 1 == 1 { 1 } else { -1 };
-                        *wi = clamp_weight(*wi + t * x);
+                let defect = false;
+                let mut h = *history;
+                for &ev in batch {
+                    let taken = ev & 1 == 1;
+                    let slot = &mut table[gshare_index(BranchId(ev >> 1), h, table_bits)];
+                    wrong += u64::from((*slot >= 2) != taken);
+                    *slot = two_bit_step(*slot, taken);
+                    if taken || !defect {
+                        h = ((h << 1) | u64::from(taken)) & hist_mask;
                     }
                 }
-                *history = ((*history << 1) | u64::from(taken)) & ((1u64 << hist_len) - 1);
-                p
+                *history = h;
             }
-        };
-        self.counts.executed += 1;
-        if predicted != taken {
-            self.counts.mispredicted += 1;
+            State::Perceptron(p) => wrong = p.run(batch),
         }
+        self.counts.executed += batch.len() as u64;
+        self.counts.mispredicted += wrong;
     }
 }
 
 /// A set of online predictors all observing one run through the VM's
 /// [`BranchSink`] hook. Attaching a zoo is pure observation: it never
 /// changes the run's output, stats, or trace.
+///
+/// Events are buffered and the predictors run over them a batch at a
+/// time; [`Zoo::report`] accounts for a partly filled batch, so the
+/// batching is invisible to every tally.
 pub struct Zoo {
     dirs: BranchDirs,
     preds: Vec<Pred>,
+    /// Packed events (`id << 1 | taken`) not yet run; never longer than
+    /// [`BATCH`].
+    pending: Vec<u32>,
 }
 
 impl Zoo {
     /// A zoo with no layout information (BTFN predicts not-taken
     /// everywhere).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spec fails [`DynSpec::validate`].
     pub fn new(specs: &[DynSpec]) -> Self {
         Zoo::with_dirs(specs, BranchDirs::none())
     }
 
     /// A zoo with BTFN directions extracted from `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spec fails [`DynSpec::validate`].
     pub fn for_program(specs: &[DynSpec], program: &Program) -> Self {
         Zoo::with_dirs(specs, BranchDirs::of(program))
     }
 
     /// A zoo with explicit [`BranchDirs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spec fails [`DynSpec::validate`]: an out-of-range
+    /// history or table size would overflow its masks.
     pub fn with_dirs(specs: &[DynSpec], dirs: BranchDirs) -> Self {
+        for spec in specs {
+            if let Err(e) = spec.validate() {
+                panic!("invalid predictor {spec}: {e}");
+            }
+        }
         Zoo {
             dirs,
             preds: specs.iter().map(|&s| Pred::new(s)).collect(),
+            pending: Vec::with_capacity(BATCH),
         }
     }
 
-    /// The per-spec tallies so far.
+    /// The per-spec tallies so far. A partly filled batch is run on a
+    /// copy of each predictor, so the zoo itself is left as it was.
     pub fn report(&self) -> ZooReport {
-        ZooReport {
-            entries: self.preds.iter().map(|p| (p.spec, p.counts)).collect(),
+        let entries = self
+            .preds
+            .iter()
+            .map(|p| {
+                if self.pending.is_empty() {
+                    return (p.spec, p.counts);
+                }
+                let mut tail = p.clone();
+                tail.run(&self.dirs, &self.pending);
+                (p.spec, tail.counts)
+            })
+            .collect();
+        ZooReport { entries }
+    }
+
+    /// Runs every predictor over the buffered batch and empties it.
+    #[inline(never)]
+    fn flush(&mut self) {
+        for p in &mut self.preds {
+            p.run(&self.dirs, &self.pending);
         }
+        self.pending.clear();
     }
 }
 
 impl BranchSink for Zoo {
+    #[inline]
     fn branch(&mut self, id: BranchId, taken: bool) {
-        for p in &mut self.preds {
-            p.observe(&self.dirs, id, taken);
+        debug_assert!(id.0 <= MAX_BRANCH_ID, "branch id {} too wide", id.0);
+        self.pending.push(id.0 << 1 | u32::from(taken));
+        if self.pending.len() == BATCH {
+            self.flush();
         }
     }
 }
@@ -855,6 +1039,74 @@ mod tests {
         assert!(wo.mispredict_rate() > 0.9, "{wo:?}");
     }
 
+    #[test]
+    #[should_panic(expected = "history 64 outside")]
+    fn zoo_rejects_a_history_past_the_register() {
+        Zoo::new(&[DynSpec::Gshare {
+            history: 64,
+            table_bits: 12,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "table_bits 0 outside")]
+    fn zoo_rejects_an_empty_table() {
+        Zoo::new(&[DynSpec::TwoBit { table_bits: 0 }]);
+    }
+
+    /// The full zoo plus specs that stress the kernels' edges: a 3-bit
+    /// table, a 63-bit history register, a perceptron spanning all four
+    /// rows and one whose second row is mostly dead lanes.
+    fn boundary_specs() -> Vec<DynSpec> {
+        let mut specs = full_zoo();
+        specs.extend([
+            DynSpec::OneBit { table_bits: 3 },
+            DynSpec::Gshare {
+                history: 63,
+                table_bits: 5,
+            },
+            DynSpec::Perceptron {
+                history: 63,
+                table_bits: 4,
+            },
+            DynSpec::Perceptron {
+                history: 17,
+                table_bits: 1,
+            },
+        ]);
+        specs
+    }
+
+    /// A `len`-event synthetic trace from `seed`: 40 hot branches with ids
+    /// up to 2^20 (wider than every table), each with its own mix of
+    /// biased, alternating and random outcomes.
+    fn synthetic_trace(len: usize, seed: u64) -> Vec<BranchEvent> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let hot: Vec<u32> = (0..40).map(|_| (next() % (1 << 20)) as u32).collect();
+        (0..len)
+            .map(|i| {
+                let r = next();
+                let k = (r % 40) as usize;
+                let taken = match k % 3 {
+                    0 => (r >> 8) % 8 != 0,
+                    1 => i % 2 == 0,
+                    _ => (r >> 8) & 1 == 1,
+                };
+                BranchEvent {
+                    id: BranchId(hot[k]),
+                    taken,
+                    gap: 0,
+                }
+            })
+            .collect()
+    }
+
     fn arb_bool() -> impl Strategy<Value = bool> {
         (0u8..2).prop_map(|b| b == 1)
     }
@@ -898,11 +1150,16 @@ mod tests {
             for (taken, id) in seq {
                 zoo.branch(BranchId(id), taken);
             }
-            let State::Perceptron { weights, .. } = &zoo.preds[0].state else {
+            zoo.flush();
+            let State::Perceptron(p) = &zoo.preds[0].state else {
                 unreachable!("spec built a perceptron");
             };
-            for &w in weights {
-                prop_assert!(w.abs() <= WEIGHT_LIMIT, "weight {w} escaped the clamp");
+            for &w in p.bias.iter().chain(p.weights.iter().flatten()) {
+                prop_assert!(i32::from(w).abs() <= WEIGHT_LIMIT, "weight {w} escaped the clamp");
+            }
+            // Lanes past the history length carry no input and stay 0.
+            for row in &p.weights {
+                prop_assert!(row[hist_len as usize..].iter().all(|&w| w == 0), "{row:?}");
             }
             // The dot product bound the clamp guarantees:
             let max_dot = (i64::from(hist_len) + 1) * i64::from(WEIGHT_LIMIT);
@@ -928,6 +1185,39 @@ mod tests {
                 zoo.branch(ev.id, ev.taken);
             }
             prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
+        }
+    }
+
+    proptest! {
+        // Each case replays about 66k events through golden.
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// Online and golden agree on traces that end just short of, on,
+        /// and just past batch boundaries, with BTFN directions that cover
+        /// only some of the ids. A `report()` taken mid-stream, on either
+        /// side of a boundary, matches the golden replay of the prefix and
+        /// leaves the final tallies alone.
+        #[test]
+        fn online_matches_golden_across_batch_boundaries(seed in 0u64..u64::MAX) {
+            let specs = boundary_specs();
+            let dirs = BranchDirs {
+                backward: Arc::new((0..1 << 19).map(|i| i % 3 == 0).collect()),
+            };
+            let mids = [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5];
+            for len in [0, 1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 7] {
+                let trace = synthetic_trace(len, seed ^ len as u64);
+                let mut zoo = Zoo::with_dirs(&specs, dirs.clone());
+                use trace_vm::BranchSink as _;
+                for (i, ev) in trace.iter().enumerate() {
+                    if mids.contains(&i) {
+                        let prefix = golden::replay_zoo(&specs, &dirs, &trace[..i]);
+                        prop_assert_eq!(zoo.report(), prefix, "len {}, report at {}", len, i);
+                    }
+                    zoo.branch(ev.id, ev.taken);
+                }
+                let full = golden::replay_zoo(&specs, &dirs, &trace);
+                prop_assert_eq!(zoo.report(), full, "len {}", len);
+            }
         }
     }
 }

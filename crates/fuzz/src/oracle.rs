@@ -227,16 +227,21 @@ fn check_dynpred_consistency(
         config.backend = be;
         let mut zoo = Zoo::with_dirs(&DYNPRED_SPECS, dirs.clone());
         let vm = Vm::with_config(program, config);
-        let outcome = catch_unwind(AssertUnwindSafe(|| vm.run_branches(inputs, &mut zoo)));
-        let run = match outcome {
-            Ok(Ok(run)) => run,
+        // The zoo runs its predictors a batch at a time, so a short run
+        // does all its predictor work inside `report()`: keep that under
+        // the unwind guard too.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            vm.run_branches(inputs, &mut zoo)
+                .map(|run| (run, zoo.report()))
+        }));
+        let (run, online) = match outcome {
+            Ok(Ok(done)) => done,
             Ok(Err(_)) => continue,
             Err(payload) => {
                 findings.push(("vm-panic", panic_detail(&payload)));
                 return;
             }
         };
-        let online = zoo.report();
         let replayed = golden::replay_zoo(&DYNPRED_SPECS, &dirs, &run.branch_trace);
         for ((spec, on), (_, gold)) in online.entries.iter().zip(&replayed.entries) {
             if on != gold {
